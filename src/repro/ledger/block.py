@@ -159,9 +159,7 @@ class BlockBody:
     def signed_by(
         self, keypair: schnorr.KeyPair, preamble_hash: str
     ) -> "BlockBody":
-        signature = schnorr.sign(
-            keypair.secret, self.signing_payload(preamble_hash)
-        )
+        signature = schnorr.sign(keypair, self.signing_payload(preamble_hash))
         body = BlockBody(
             reveals=self.reveals,
             allocation=self.allocation,

@@ -7,6 +7,7 @@ from typing import Iterator, List, Optional
 from repro.common.errors import InvalidBlockError
 from repro.ledger.block import GENESIS_PARENT, Block
 from repro.ledger.pow import DEFAULT_DIFFICULTY_BITS
+from repro.ledger.signatures import VerifiedSignatures
 
 
 class Blockchain:
@@ -20,8 +21,10 @@ class Blockchain:
     def __init__(self, difficulty_bits: int = DEFAULT_DIFFICULTY_BITS) -> None:
         self.difficulty_bits = difficulty_bits
         self._blocks: List[Block] = []
-        #: optional write-ahead journal (``repro.store.NodeStore`` duck
-        #: type): every append is logged *before* it takes effect, so a
+        #: this node's verified signatures (a miner shares its mempool's)
+        self.signatures = VerifiedSignatures()
+        #: optional write-ahead journal (``repro.store.node.Journal``
+        #: duck type): every append is logged *before* it takes effect, so a
         #: crashed node recovers exactly the blocks it durably committed
         self.journal = None
 
@@ -62,15 +65,7 @@ class Blockchain:
             )
         if not preamble.check_pow(self.difficulty_bits):
             raise InvalidBlockError("proof-of-work check failed")
-        for tx in preamble.transactions:
-            if not tx.verify_signature():
-                raise InvalidBlockError(
-                    f"transaction from {tx.sender_id} in block "
-                    f"{preamble.height} has an invalid signature"
-                )
-        body = block.require_complete()
-        if not body.verify_signature(preamble.hash()):
-            raise InvalidBlockError("miner signature on block body is invalid")
+        self.signatures.require_block(block)
 
     def append(self, block: Block) -> None:
         """Validate and append ``block`` (journaled first when attached)."""
@@ -78,6 +73,7 @@ class Blockchain:
         if self.journal is not None:
             self.journal.log("chain.append", block=block)
         self._blocks.append(block)
+        self.signatures.discard_block(block)
 
     def find_block(self, block_hash: str) -> Optional[Block]:
         """Look up a block by its full hash."""

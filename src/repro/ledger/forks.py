@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import InvalidBlockError
 from repro.ledger.block import GENESIS_PARENT, Block
 from repro.ledger.pow import DEFAULT_DIFFICULTY_BITS
+from repro.ledger.signatures import VerifiedSignatures
 
 
 @dataclass
@@ -40,6 +41,9 @@ class BlockTree:
     difficulty_bits: int = DEFAULT_DIFFICULTY_BITS
     _nodes: Dict[str, _Node] = field(default_factory=dict)
     _arrival_counter: int = 0
+    signatures: VerifiedSignatures = field(
+        default_factory=VerifiedSignatures, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -74,15 +78,7 @@ class BlockTree:
             )
         if not preamble.check_pow(self.difficulty_bits):
             raise InvalidBlockError("proof-of-work check failed")
-        for tx in preamble.transactions:
-            if not tx.verify_signature():
-                raise InvalidBlockError(
-                    f"transaction from {tx.sender_id} in block "
-                    f"{preamble.height} has an invalid signature"
-                )
-        body = block.require_complete()
-        if not body.verify_signature(preamble.hash()):
-            raise InvalidBlockError("miner signature on block body invalid")
+        self.signatures.require_block(block)
 
         block_hash = block.hash()
         if block_hash in self._nodes:

@@ -12,6 +12,7 @@ from collections import OrderedDict
 from typing import List
 
 from repro.common.errors import SignatureError
+from repro.ledger.signatures import VerifiedSignatures
 from repro.ledger.transaction import SealedBidTransaction
 
 
@@ -21,8 +22,10 @@ class Mempool:
     def __init__(self, max_size: int = 100_000) -> None:
         self.max_size = max_size
         self._pending: "OrderedDict[str, SealedBidTransaction]" = OrderedDict()
-        #: optional write-ahead journal (``repro.store.NodeStore`` duck
-        #: type): admissions are logged before insertion so a crashed
+        #: this node's verified signatures (shared with a miner's chain)
+        self.signatures = VerifiedSignatures(pending_bound=max_size)
+        #: optional write-ahead journal (``repro.store.node.Journal``
+        #: duck type): admissions are logged before insertion so a crashed
         #: node's pending bids survive a restart
         self.journal = None
 
@@ -37,7 +40,10 @@ class Mempool:
 
         Re-submission of an identical transaction is idempotent.
         """
-        tx.require_valid()
+        if not self.signatures.check_tx(tx):
+            raise SignatureError(
+                f"transaction from {tx.sender_id} has an invalid signature"
+            )
         txid = tx.txid()
         if txid not in self._pending:
             if len(self._pending) >= self.max_size:
@@ -59,7 +65,9 @@ class Mempool:
     def remove(self, txids: List[str]) -> None:
         """Drop the given transactions (after block inclusion)."""
         for txid in txids:
-            self._pending.pop(txid, None)
+            tx = self._pending.pop(txid, None)
+            if tx is not None:
+                self.signatures.discard_tx(tx)
 
     def drain(self, limit: int) -> List[SealedBidTransaction]:
         """Remove and return the next up-to-``limit`` transactions."""

@@ -63,6 +63,9 @@ class Miner:
             )
         if self.chain is None:
             self.chain = Blockchain(difficulty_bits=self.difficulty_bits)
+        # One verified-signature set per node: admission fills it, block
+        # validation consults it.
+        self.chain.signatures = self.mempool.signatures
         if self.store is not None:
             self.store.attach(chain=self.chain, mempool=self.mempool)
 

@@ -89,7 +89,7 @@ class SealedBidTransaction:
             key_commitment=key_commitment,
             signature=(0, 0),
         )
-        signature = schnorr.sign(keypair.secret, unsigned.signing_payload())
+        signature = schnorr.sign(keypair, unsigned.signing_payload())
         return cls(
             sender_id=sender_id,
             sender_public=keypair.public,

@@ -71,9 +71,7 @@ class AttestationService:
             issued_at=now,
             signature=(0, 0),
         )
-        signature = schnorr.sign(
-            self.keypair.secret, unsigned.signing_payload()
-        )
+        signature = schnorr.sign(self.keypair, unsigned.signing_payload())
         return Quote(
             provider_id=provider_id,
             enclave_measurement=enclave_measurement,

@@ -44,7 +44,7 @@ class Escrow:
 class TokenLedger:
     """Minimal account-model token ledger with escrow support.
 
-    With a ``journal`` attached (``repro.store.NodeStore`` duck type)
+    With a ``journal`` attached (``repro.store.node.Journal`` duck type)
     every state transition is written ahead: the public operations log a
     typed record first, then delegate to the private ``_apply_*``
     primitives.  Recovery replays records through the same primitives,

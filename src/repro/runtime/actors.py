@@ -20,6 +20,7 @@ exactly the transaction order the lockstep engine sees.
 
 from __future__ import annotations
 
+import weakref
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -45,7 +46,9 @@ class MinerActor:
     """A miner node reacting to gossip on its own inbox."""
 
     def __init__(self, runtime: "Runtime", miner: Miner) -> None:
-        self.runtime = runtime
+        # The runtime owns its actors and, through its transport, their
+        # handlers: a weak back-reference keeps that graph acyclic.
+        self.runtime = weakref.proxy(runtime)
         self.miner = miner
         #: submission sequence per admitted txid (first claim wins);
         #: preambles are composed in this order
@@ -152,7 +155,7 @@ class ParticipantActor:
     """
 
     def __init__(self, runtime: "Runtime", participant: Participant) -> None:
-        self.runtime = runtime
+        self.runtime = weakref.proxy(runtime)
         self.node_id = participant.participant_id
         self.participants: List[Participant] = [participant]
         transport = runtime.transport

@@ -152,9 +152,9 @@ class _Entry:
     """One submission's lifecycle inside a round."""
 
     __slots__ = ("participant", "bid", "tx", "txid", "sequence", "attempts",
-                 "settled", "state")
+                 "settled", "round")
 
-    def __init__(self, participant: Participant, bid: Bid) -> None:
+    def __init__(self, participant: Participant, bid: Bid, round: int) -> None:
         self.participant = participant
         self.bid = bid
         self.tx = None
@@ -162,7 +162,9 @@ class _Entry:
         self.sequence: Optional[int] = None
         self.attempts = 0
         self.settled = False
-        self.state: Optional["_RoundState"] = None
+        #: index of the owning round in ``Runtime._states`` (an index, not
+        #: a back-pointer, so rounds and entries form no reference cycle)
+        self.round = round
 
 
 _TERMINAL = ("done", "aborted")
@@ -180,10 +182,8 @@ class _RoundState:
         self.input = round_input
         self.status = "pending"
         self.entries: List[_Entry] = [
-            _Entry(p, b) for p, b in round_input.submissions
+            _Entry(p, b, index) for p, b in round_input.submissions
         ]
-        for entry in self.entries:
-            entry.state = self
         self.outstanding = len(self.entries)
         self.leader: Optional[Miner] = None
         self.preamble: Optional[BlockPreamble] = None
@@ -327,7 +327,14 @@ class Runtime:
             self.scheduler.call_later(
                 self.telemetry_interval, self._telemetry_tick
             )
-        self.scheduler.run()
+        try:
+            self.scheduler.run()
+        except BaseException:
+            # The failure ends this runtime, as a process death would.
+            # Its pending events are closures over the runtime: drop them
+            # so the dead runtime's graph is freed without the cyclic GC.
+            self.scheduler.clear()
+            raise
         if self._publisher is not None:
             # One closing frame carries everything since the last tick,
             # then a drain pass delivers it before the report freezes.
@@ -482,7 +489,7 @@ class Runtime:
 
     def _settle_submission(self, entry: _Entry) -> None:
         entry.settled = True
-        state = entry.state
+        state = self._states[entry.round]
         state.outstanding -= 1
         if state.outstanding == 0 and state.status == "sealing":
             state.status = "sealed"

@@ -82,6 +82,11 @@ class DeterministicScheduler:
         """Best-effort cancellation; a fired handle is silently ignored."""
         self._cancelled.add(handle)
 
+    def clear(self) -> None:
+        """Drop every pending event (the clock stays where it is)."""
+        self._heap.clear()
+        self._cancelled.clear()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

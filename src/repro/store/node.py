@@ -187,6 +187,41 @@ class RecoveredState:
         return processor
 
 
+class Journal:
+    """The write-ahead log that attached subsystems journal through.
+
+    Attached subsystems point at this object rather than back at their
+    :class:`NodeStore`, so a store and its chain, mempool and ledger form
+    no reference cycle and are freed as soon as a run drops them.
+    """
+
+    def __init__(self, wal: WriteAheadLog, obs: ObservabilityLike) -> None:
+        self.wal = wal
+        self.obs = obs
+        #: newest round.phase journaled through this handle (snapshotted)
+        self.last_round_phase: Optional[Dict[str, Any]] = None
+        #: newest marker per round index (see RecoveredState.round_phases)
+        self.round_phases: Dict[int, Dict[str, Any]] = {}
+
+    def log(self, record_type: str, **data: Any) -> int:
+        """Append one write-ahead record; returns its ``seq``.
+
+        Called by attached subsystems immediately *before* they apply
+        the transition the record describes.
+        """
+        payload = records.encode_data(record_type, data)
+        seq = self.wal.append(record_type, payload)
+        if record_type == records.ROUND_PHASE:
+            self.last_round_phase = payload
+            if "round" in payload:
+                self.round_phases[payload["round"]] = payload
+        if self.obs.enabled:
+            self.obs.registry.inc(
+                "store_wal_records_total", type=record_type
+            )
+        return seq
+
+
 class NodeStore:
     """Write-ahead journal + snapshot store for one node."""
 
@@ -201,14 +236,11 @@ class NodeStore:
             snapshots if snapshots is not None else MemorySnapshotStore()
         )
         self.obs = resolve_obs(obs)
+        self.journal = Journal(self.wal, self.obs)
         self._chain: Optional[Blockchain] = None
         self._mempool: Optional[Mempool] = None
         self._ledger: Optional[TokenLedger] = None
         self._settlement: Optional[SettlementProcessor] = None
-        #: newest round.phase journaled through this handle (snapshotted)
-        self.last_round_phase: Optional[Dict[str, Any]] = None
-        #: newest marker per round index (see RecoveredState.round_phases)
-        self.round_phases: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Construction sugar
@@ -266,13 +298,13 @@ class NodeStore:
         snapshotted by it)."""
         if chain is not None:
             self._chain = chain
-            chain.journal = self
+            chain.journal = self.journal
         if mempool is not None:
             self._mempool = mempool
-            mempool.journal = self
+            mempool.journal = self.journal
         if ledger is not None:
             self._ledger = ledger
-            ledger.journal = self
+            ledger.journal = self.journal
         if settlement is not None:
             self._settlement = settlement
             self.attach(ledger=settlement.ledger)
@@ -282,22 +314,16 @@ class NodeStore:
     # The journal
     # ------------------------------------------------------------------
     def log(self, record_type: str, **data: Any) -> int:
-        """Append one write-ahead record; returns its ``seq``.
+        """Append one write-ahead record; returns its ``seq``."""
+        return self.journal.log(record_type, **data)
 
-        Called by attached subsystems immediately *before* they apply
-        the transition the record describes.
-        """
-        payload = records.encode_data(record_type, data)
-        seq = self.wal.append(record_type, payload)
-        if record_type == records.ROUND_PHASE:
-            self.last_round_phase = payload
-            if "round" in payload:
-                self.round_phases[payload["round"]] = payload
-        if self.obs.enabled:
-            self.obs.registry.inc(
-                "store_wal_records_total", type=record_type
-            )
-        return seq
+    @property
+    def last_round_phase(self) -> Optional[Dict[str, Any]]:
+        return self.journal.last_round_phase
+
+    @property
+    def round_phases(self) -> Dict[int, Dict[str, Any]]:
+        return self.journal.round_phases
 
     # ------------------------------------------------------------------
     # Live-state materialization
@@ -421,6 +447,9 @@ class NodeStore:
                 round_phases[last_round["round"]] = dict(last_round)
         else:
             chain = Blockchain(difficulty_bits=difficulty_bits)
+        # A fresh set for the recovered node: every replayed signature
+        # is verified once, whether it replays into the mempool or chain.
+        chain.signatures = mempool.signatures
 
         replayed = 0
         for record in self.wal.records(after_seq=last_seq):
@@ -434,8 +463,8 @@ class NodeStore:
                 last_round,
                 round_phases,
             )
-        self.last_round_phase = last_round
-        self.round_phases = dict(round_phases)
+        self.journal.last_round_phase = last_round
+        self.journal.round_phases = dict(round_phases)
         return RecoveredState(
             chain=chain,
             mempool=mempool,

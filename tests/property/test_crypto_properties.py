@@ -50,7 +50,7 @@ class TestSchnorrProperties:
     def test_sign_verify(self, seed, message):
         keypair = schnorr.KeyPair.generate(seed=seed)
         assert schnorr.verify(
-            keypair.public, message, schnorr.sign(keypair.secret, message)
+            keypair.public, message, schnorr.sign(keypair, message)
         )
 
     @given(
@@ -63,7 +63,7 @@ class TestSchnorrProperties:
         if message == other:
             return
         keypair = schnorr.KeyPair.generate(seed=seed)
-        signature = schnorr.sign(keypair.secret, message)
+        signature = schnorr.sign(keypair, message)
         assert not schnorr.verify(keypair.public, other, signature)
 
 

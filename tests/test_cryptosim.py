@@ -37,32 +37,30 @@ class TestSchnorrGroup:
 class TestSchnorrSignatures:
     def test_sign_verify_roundtrip(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
-        signature = schnorr.sign(keypair.secret, b"message")
+        signature = schnorr.sign(keypair, b"message")
         assert schnorr.verify(keypair.public, b"message", signature)
 
     def test_wrong_message_fails(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
-        signature = schnorr.sign(keypair.secret, b"message")
+        signature = schnorr.sign(keypair, b"message")
         assert not schnorr.verify(keypair.public, b"other", signature)
 
     def test_wrong_key_fails(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
         other = schnorr.KeyPair.generate(seed=b"k2")
-        signature = schnorr.sign(keypair.secret, b"message")
+        signature = schnorr.sign(keypair, b"message")
         assert not schnorr.verify(other.public, b"message", signature)
 
     def test_tampered_signature_fails(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
-        challenge, response = schnorr.sign(keypair.secret, b"message")
+        challenge, response = schnorr.sign(keypair, b"message")
         assert not schnorr.verify(
             keypair.public, b"message", (challenge, (response + 1) % schnorr.Q)
         )
 
     def test_deterministic_signing(self):
         keypair = schnorr.KeyPair.generate(seed=b"k1")
-        assert schnorr.sign(keypair.secret, b"m") == schnorr.sign(
-            keypair.secret, b"m"
-        )
+        assert schnorr.sign(keypair, b"m") == schnorr.sign(keypair, b"m")
 
     def test_seeded_keygen_deterministic(self):
         assert schnorr.KeyPair.generate(seed=b"s") == schnorr.KeyPair.generate(
