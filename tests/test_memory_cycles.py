@@ -9,12 +9,13 @@ import gc
 
 from repro.faults.crash import CrashPoint
 from repro.ledger.miner import Miner
+from repro.ledger.signatures import VerifiedSignatures
 from repro.ledger.transaction import SealedBidTransaction
 from repro.runtime import Runtime
 from repro.sim.chaos import ChaosSpec, run_durable_scenario
 from repro.store import NodeStore
 
-WATCHED = (Runtime, NodeStore, Miner, SealedBidTransaction)
+WATCHED = (Runtime, NodeStore, Miner, SealedBidTransaction, VerifiedSignatures)
 
 
 def _cyclic_garbage(run):
